@@ -30,16 +30,11 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"time"
 
-	"hatric/internal/arch"
 	"hatric/internal/exp"
-	"hatric/internal/hv"
-	"hatric/internal/sim"
-	"hatric/internal/workload"
 )
 
 // Report is the JSON artifact the gate writes.
@@ -67,17 +62,6 @@ type Report struct {
 	SweepRefs      uint64   `json:"sweep_refs_per_thread,omitempty"`
 	SweepWallSec   float64  `json:"sweep_wall_clock_sec,omitempty"`
 	SweepFigPerSec float64  `json:"sweep_figures_per_sec,omitempty"`
-
-	// Parallel-engine scaling sweep (sim.Options.ParallelCPUs): one
-	// multi-VM paged machine timed at each worker count, workers=0 being
-	// the serial engine. Informational; never gates — the speedup ceiling
-	// is min(workers, host cores), so the series only demonstrates scaling
-	// on a multi-core runner (ParallelHostCPUs records what this one had).
-	ParallelWorkers  []int     `json:"parallel_workers,omitempty"`
-	ParallelRefsSec  []float64 `json:"parallel_refs_per_sec,omitempty"`
-	ParallelSpeedup  []float64 `json:"parallel_speedup_vs_serial,omitempty"`
-	ParallelHostCPUs int       `json:"parallel_host_cpus,omitempty"`
-	ParallelNote     string    `json:"parallel_note,omitempty"`
 }
 
 // runSweep times a paperfigs-quick campaign (every figure the default
@@ -120,65 +104,6 @@ func runSweep(rep *Report, refs uint64) error {
 	return nil
 }
 
-// runParallelSweep times the epoch-barrier parallel engine on a multi-VM
-// paged machine (two 4-thread VMs sharing an 8-pCPU host under paging
-// pressure) at workers 0 (serial) and 1/2/4/8, and fills the parallel_*
-// series. Each point keeps the best of `repeats` runs — wall-clock
-// throughput on a shared runner is noisy downward only.
-func runParallelSweep(rep *Report, repeats int) error {
-	spec, err := workload.ByName("canneal")
-	if err != nil {
-		return err
-	}
-	spec = spec.WithRefs(150_000)
-	spec.Threads = 4
-	cfg := arch.DefaultConfig()
-	cfg.NumCPUs = 8
-	sim.SizeConfig(&cfg, 2*spec.FootprintPages, hv.ModePaged)
-	build := func(workers int) sim.Options {
-		return sim.Options{
-			Config:   cfg,
-			Protocol: "hatric",
-			Paging:   hv.BestPolicy(),
-			Mode:     hv.ModePaged,
-			VMs: []sim.VMSpec{
-				{Workloads: []sim.AssignedWorkload{{Spec: spec, CPUs: []int{0, 1, 2, 3}}}},
-				{Workloads: []sim.AssignedWorkload{{Spec: spec, CPUs: []int{4, 5, 6, 7}}}},
-			},
-			Seed:         1,
-			ParallelCPUs: workers,
-		}
-	}
-	serial := 0.0
-	for _, workers := range []int{0, 1, 2, 4, 8} {
-		best := 0.0
-		for i := 0; i < repeats; i++ {
-			sys, err := sim.New(build(workers))
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			res, err := sys.Run()
-			if err != nil {
-				return err
-			}
-			if rs := float64(res.Agg.MemRefs) / time.Since(start).Seconds(); rs > best {
-				best = rs
-			}
-		}
-		if workers == 0 {
-			serial = best
-		}
-		rep.ParallelWorkers = append(rep.ParallelWorkers, workers)
-		rep.ParallelRefsSec = append(rep.ParallelRefsSec, best)
-		rep.ParallelSpeedup = append(rep.ParallelSpeedup, best/serial)
-	}
-	rep.ParallelHostCPUs = runtime.NumCPU()
-	rep.ParallelNote = "workers=0 is the serial engine; speedup ceiling is min(workers, host cores)." +
-		" On a single-core host the series measures epoch-barrier overhead, not scaling."
-	return nil
-}
-
 // Baseline is the committed reference point.
 type Baseline struct {
 	MedianRefsSec float64 `json:"median_refs_per_sec"`
@@ -196,8 +121,6 @@ func main() {
 	maxReg := flag.Float64("max-regression", 0.15, "fail when median falls more than this fraction below baseline")
 	sweep := flag.Bool("sweep", true, "also time one paperfigs-quick campaign in-process")
 	sweepRefs := flag.Uint64("sweep-refs", 0, "refs per thread for the sweep (0 = exp.Quick default)")
-	parallel := flag.Bool("parallel", true, "also run the parallel-engine scaling sweep (workers 1/2/4/8)")
-	parallelRepeats := flag.Int("parallel-repeats", 3, "runs per worker count in the parallel sweep (best kept)")
 	note := flag.String("note", "", "free-form host/context note recorded in the artifact")
 	flag.Parse()
 
@@ -259,17 +182,6 @@ func main() {
 		}
 		fmt.Printf("benchgate: sweep (%d figures, %d refs/thread) took %.1fs\n",
 			len(rep.SweepFigures), rep.SweepRefs, rep.SweepWallSec)
-	}
-
-	if *parallel {
-		if err := runParallelSweep(&rep, *parallelRepeats); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: parallel sweep failed: %v\n", err)
-			os.Exit(1)
-		}
-		for i, w := range rep.ParallelWorkers {
-			fmt.Printf("benchgate: parallel workers=%d: %.0f refs/sec (%.2fx serial)\n",
-				w, rep.ParallelRefsSec[i], rep.ParallelSpeedup[i])
-		}
 	}
 
 	data, _ := json.MarshalIndent(rep, "", "  ")

@@ -15,10 +15,6 @@
 // structures keep the VMs' entries apart across world switches;
 // -flush-on-switch restores the no-VPID flush baseline.
 //
-// With -parallel N the epoch-barrier parallel engine shards the physical
-// CPUs across N worker goroutines (-epoch overrides the epoch length; see
-// README, "Parallel execution", for the timing model it implies).
-//
 // Per-VM QoS tiers: -vm-mode, -vm-quota, and -vm-weight override the
 // machine-wide placement, reserve die-stacked frames (absolute, or a
 // share like 25%), and weight scheduler quanta per VM — comma-separated,
@@ -75,9 +71,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		check    = flag.Bool("check", true, "audit stale translations")
 		xen      = flag.Bool("xen", false, "use the Xen cost profile")
-
-		parallel = flag.Int("parallel", 0, "worker goroutines sharding the physical CPUs (0 = serial engine; see README, Parallel execution)")
-		epochLen = flag.Uint64("epoch", 0, "parallel epoch length in cycles (0 = default)")
 
 		vcpus   = flag.Int("vcpus", 1, "vCPUs per physical CPU (overcommit ratio; >1 time-slices)")
 		quantum = flag.Uint64("quantum", 0, "scheduler time slice in cycles (0 = default)")
@@ -164,11 +157,6 @@ func main() {
 		VCPUsPerCPU:     *vcpus,
 		SchedQuantum:    arch.Cycles(*quantum),
 		FlushOnVMSwitch: *flushsw,
-		// Validation (negative counts, oversubscription against the
-		// machine's physical CPUs) lives in sim.New; its errors surface
-		// through fatal below.
-		ParallelCPUs: *parallel,
-		EpochCycles:  arch.Cycles(*epochLen),
 	}
 	if *ksmEvery > 0 {
 		opts.KSM = hv.KSMConfig{

@@ -65,35 +65,6 @@
 // Result counters; internal/sim's golden-counter fingerprints and
 // steady-state zero-allocation test enforce both properties in CI.
 //
-// # Parallel execution
-//
-// An opt-in engine (sim.Options.ParallelCPUs, `hatricsim -parallel`)
-// shards the physical CPUs across worker goroutines and advances the
-// machine in fixed-length cycle epochs. Within an epoch each worker
-// touches only per-CPU state — private caches, translation structures,
-// clocks, counters — against a frozen view of the shared machine; every
-// cross-shard effect (shared-cache fills, invalidation relays, directory
-// updates, page faults, storm daemons) is appended to a per-CPU deferred
-// log. At the epoch barrier the logs are merged in (cycle, cpu) order
-// and replayed serially through the unmodified serial code paths.
-//
-// Why this preserves determinism: each CPU's epoch execution is a pure
-// function of its own state plus the frozen shared state, and the merge
-// order is a pure function of the per-CPU event streams — neither
-// depends on how CPUs are assigned to workers or on goroutine
-// scheduling, so every worker count produces bit-identical results
-// (ParallelCPUs is a throughput knob, not a model parameter). What the
-// deferral does change is *when* shared-state transitions happen
-// relative to the serial engine — a fill that would have landed
-// mid-epoch lands at the barrier in cycle order instead — so parallel
-// runs are a documented statistical variant of the serial machine with
-// their own golden set, approximating the serial interleaving to within
-// one epoch of timing skew. Counters the deferral provably cannot shift
-// (instruction and reference counts; the whole translation-structure
-// block on remap-free machines) are asserted equal to the serial engine
-// in internal/sim's parallel tests. See README.md, "Parallel execution",
-// for the epoch-length tradeoff and the enumerated timing deviations.
-//
 // See README.md for a package tour and how to run the examples,
 // benchmarks, and figure regeneration. The benchmarks in bench_test.go
 // regenerate every figure of the paper's evaluation.

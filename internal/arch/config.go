@@ -179,6 +179,9 @@ func (c Config) Validate() error {
 		return configError("TLB.CoTagBytes must be in [0,3]")
 	case c.Mem.HBMFrames < 0 || c.Mem.DRAMFrames <= 0:
 		return configError("memory frame counts invalid")
+	case !(c.Mem.HBMBytesPerCycle > 0) || !(c.Mem.DRAMBytesPerCycle > 0):
+		// Written as !(x > 0) so NaN is rejected too.
+		return configError("memory bandwidths (BytesPerCycle) must be positive")
 	case c.L1.SizeBytes <= 0 || c.L2.SizeBytes <= 0 || c.LLC.SizeBytes <= 0:
 		return configError("cache sizes must be positive")
 	}

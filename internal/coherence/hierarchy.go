@@ -49,15 +49,6 @@ type Hierarchy struct {
 	hook    TranslationHook
 	relayTS bool // relay PT invalidations to translation structures
 
-	// def, when non-nil, puts the hierarchy in epoch-deferred mode (the
-	// sim package's parallel epochs): Read/Write serve what they can from
-	// the caller's own private caches and append everything that would
-	// touch the LLC, the directory, the devices, or another CPU's state to
-	// the per-CPU log instead (see deferred.go). The sim arms it before
-	// each worker phase and disarms it at the barrier, so replays and
-	// hypervisor work go through the unmodified serial paths below.
-	def *DeferredLog
-
 	cnt []*stats.Counters
 }
 
@@ -87,12 +78,6 @@ func (h *Hierarchy) SetTranslationHook(hook TranslationHook, relay bool) {
 	h.relayTS = relay
 }
 
-// SetDeferredLog arms (non-nil) or disarms (nil) epoch-deferred mode.
-// While armed, only per-CPU private state is mutated by Read/Write and the
-// translation notes; everything cross-shard lands in d for the caller to
-// replay serially at the epoch barrier.
-func (h *Hierarchy) SetDeferredLog(d *DeferredLog) { h.def = d }
-
 // Directory exposes the directory (tests and the experiment harness).
 func (h *Hierarchy) Directory() *Directory { return h.dir }
 
@@ -111,9 +96,6 @@ func (h *Hierarchy) L2(cpu int) *cache.Cache { return h.l2[cpu] }
 //
 //hatric:hotpath
 func (h *Hierarchy) Read(cpu int, spa arch.SPA, kind cache.IsPTKind, now arch.Cycles) arch.Cycles {
-	if h.def != nil {
-		return h.deferredRead(cpu, spa, kind, now)
-	}
 	tag := cache.Tag(spa)
 	c := h.cnt[cpu]
 	lat := h.cost.L1Hit
@@ -187,9 +169,6 @@ func (h *Hierarchy) Read(cpu int, spa arch.SPA, kind cache.IsPTKind, now arch.Cy
 //
 //hatric:hotpath
 func (h *Hierarchy) Write(cpu int, spa arch.SPA, kind cache.IsPTKind, now arch.Cycles) arch.Cycles {
-	if h.def != nil {
-		return h.deferredWrite(cpu, spa, kind, now)
-	}
 	tag := cache.Tag(spa)
 	c := h.cnt[cpu]
 	lat := h.cost.L1Hit
@@ -317,60 +296,6 @@ func (h *Hierarchy) Write(cpu int, spa arch.SPA, kind cache.IsPTKind, now arch.C
 	return lat
 }
 
-// deferredRead is the epoch-deferred Read: serve hits from the caller's
-// own private hierarchy exactly as the serial path would (same counters,
-// same latency, same LRU movement), and log everything that would cross
-// into shared state. The deferred access returns zero latency here; the
-// barrier replay calls the full Read with the logged cycle and charges its
-// complete serial-path latency to the CPU's clock then.
-//
-//hatric:hotpath
-func (h *Hierarchy) deferredRead(cpu int, spa arch.SPA, kind cache.IsPTKind, now arch.Cycles) arch.Cycles {
-	h.def.Stamp(cpu, now)
-	tag := cache.Tag(spa)
-	c := h.cnt[cpu]
-	lat := h.cost.L1Hit
-	if _, ok := h.l1[cpu].Lookup(tag); ok {
-		c.L1Hits++
-		return lat
-	}
-	lat += h.cost.L2Hit
-	if st, ok := h.l2[cpu].Lookup(tag); ok {
-		c.L1Misses++
-		c.L2Hits++
-		// Same L1 refill as the serial L2-hit path: the victim stays in
-		// the inclusive L2, so no directory action is needed and the whole
-		// hit completes shard-locally.
-		h.l1[cpu].InsertAbsent(tag, st, kind)
-		return lat
-	}
-	// Private miss: the LLC/directory consultation is a cross-shard effect.
-	// No counters here — the replay's full Read re-probes and counts the
-	// miss (or the cheap hit, if an earlier replay already filled the line).
-	h.def.Append(cpu, OpRead, spa, 0, kind, now)
-	return 0
-}
-
-// deferredWrite is the epoch-deferred Write: only the one write fast path
-// that provably touches no shared state — a data-line Modified hit in the
-// writer's own L1 — completes inline. Everything else (upgrades, PT-line
-// writes with their invalidation relays, misses) serializes at the barrier
-// through the full serial Write.
-//
-//hatric:hotpath
-func (h *Hierarchy) deferredWrite(cpu int, spa arch.SPA, kind cache.IsPTKind, now arch.Cycles) arch.Cycles {
-	h.def.Stamp(cpu, now)
-	tag := cache.Tag(spa)
-	if kind == cache.KindData {
-		if st, ok := h.l1[cpu].Lookup(tag); ok && st == cache.Modified {
-			h.cnt[cpu].L1Hits++
-			return h.cost.L1Hit
-		}
-	}
-	h.def.Append(cpu, OpWrite, spa, 0, kind, now)
-	return 0
-}
-
 // NoteTranslationFill records that cpu's translation structures now hold an
 // entry sourced from the page-table line at spa. In the default
 // pseudo-specific directory this only merges the kind bits; in fine-grained
@@ -379,11 +304,6 @@ func (h *Hierarchy) NoteTranslationFill(cpu int, spa arch.SPA, kind cache.IsPTKi
 	if !h.relayTS {
 		// Software coherence: translation structures are not coherence
 		// participants; the hypervisor flushes them explicitly.
-		return
-	}
-	if h.def != nil {
-		// Epoch-deferred: the directory update is a cross-shard effect.
-		h.def.Append(cpu, OpTSFill, spa, 0, kind, h.def.Last(cpu))
 		return
 	}
 	tag := cache.Tag(spa)
@@ -407,12 +327,6 @@ func (h *Hierarchy) NoteTranslationFill(cpu int, spa arch.SPA, kind cache.IsPTKi
 // structures still reference the line.
 func (h *Hierarchy) NoteTranslationEviction(cpu int, spa arch.SPA, kind cache.IsPTKind) {
 	if !h.cfg.Dir.EagerUpdate {
-		return
-	}
-	if h.def != nil {
-		// Epoch-deferred: the demotion probes the directory and possibly
-		// removes a sharer — cross-shard, so it replays at the barrier.
-		h.def.Append(cpu, OpTSEvict, spa, 0, kind, h.def.Last(cpu))
 		return
 	}
 	tag := cache.Tag(spa)

@@ -7,11 +7,10 @@
 // # Why the injector is a pure function of seeds
 //
 // The whole simulator's value rests on replayability: golden
-// fingerprints, the parallel engine's bit-identical worker-count
-// guarantee, and the experiment harness's cross-run comparisons all
+// fingerprints and the experiment harness's cross-run comparisons both
 // assume a configuration plus a seed fully determines every observable
 // output. Randomness drawn from a clock or a shared RNG stream would
-// break all three at once — a fault decision would depend on wall time,
+// break both at once — a fault decision would depend on wall time,
 // on how many unrelated draws preceded it, or on goroutine interleaving.
 //
 // The injector therefore computes each decision as a pure hash:
@@ -19,7 +18,7 @@
 //	lost = mix(seed ^ siteSalt ^ seq) < rate * 2^64
 //
 // where mix is the splitmix64 finalizer, siteSalt separates the per-site
-// streams, and seq is the site's own decision counter. Three properties
+// streams, and seq is the site's own decision counter. Two properties
 // follow directly:
 //
 //   - Replayable: the n-th decision at a site depends only on (seed,
@@ -29,10 +28,6 @@
 //     stream (sites draw from disjoint hashed streams, and disabled
 //     sites consume no sequence numbers), and the same fault pattern can
 //     be replayed against different workloads by pinning Config.Seed.
-//   - Parallel-safe: the parallel engine replays every fault-site
-//     operation serially at epoch barriers in a deterministic merge
-//     order, so the global sequence counters advance identically at any
-//     worker count.
 //
 // A nil *Injector (the result of an all-zero Config) injects nothing and
 // costs one nil check per site: with fault injection disabled the

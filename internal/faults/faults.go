@@ -81,11 +81,8 @@ var siteSalts = [numSites]uint64{
 // Injector makes the loss/delay decision at each fault site. Every
 // decision is a pure function of (seed, site, per-site sequence number):
 // no clock, no shared RNG stream, no allocation — so a run replays
-// bit-identically, and the parallel engine (which replays all fault-site
-// work serially at epoch barriers in deterministic merge order) draws the
-// exact same decision sequence at any worker count. A nil *Injector is
-// valid and injects nothing; every method is nil-receiver safe so call
-// sites need no guards.
+// bit-identically. A nil *Injector is valid and injects nothing; every
+// method is nil-receiver safe so call sites need no guards.
 type Injector struct {
 	cfg        Config
 	seed       uint64

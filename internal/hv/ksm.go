@@ -208,17 +208,6 @@ func (h *Hypervisor) ksmShared(vm int, gpp arch.GPP) bool {
 	return h.ksm != nil && h.ksm.shared[vm].has(gpp)
 }
 
-// KSMShared is the read-only sharing probe: whether a guest write to
-// (vm, gpp) would hit a KSM-shared frame and break the sharing. The
-// parallel simulator calls it inline during an epoch — the sharing bitmaps
-// are frozen between barriers — and defers the copy-on-write break itself
-// (KSMWriteBreak, a coherent remap) to the epoch barrier.
-//
-//hatric:hotpath
-func (h *Hypervisor) KSMShared(vm int, gpp arch.GPP) bool {
-	return h.ksmShared(vm, gpp)
-}
-
 // KSMScan runs one scan step of the dedup daemon on cpu: it examines up to
 // PagesPerScan pages in deterministic cursor order and merges duplicates
 // onto shared frames. The first resident page of a content class donates

@@ -24,17 +24,6 @@ type Device struct {
 
 	busyUntil float64
 
-	// unordered drops the single-server queueing term: every request pays
-	// latency + service with no busy wait, and busyUntil is left untouched.
-	// The queue model is only meaningful when request times arrive in
-	// near-sorted order (the serial engine's min-clock scheduling); the
-	// parallel engine replays deferred events stamped with per-epoch cycles
-	// interleaved with fault handling at far-advanced clocks, where a
-	// shared busy horizon would turn the stamp skew into unbounded queue
-	// delays. Accesses/Bytes accounting is identical either way, so the
-	// energy model is unaffected.
-	unordered bool
-
 	// Accesses and Bytes are served totals, consumed by the energy model.
 	Accesses uint64
 	Bytes    uint64
@@ -55,9 +44,6 @@ func (d *Device) Access(now arch.Cycles, bytes int) arch.Cycles {
 	service := float64(bytes) / d.BytesPerCycle
 	d.Accesses++
 	d.Bytes += uint64(bytes)
-	if d.unordered {
-		return arch.Cycles(float64(d.Latency) + service)
-	}
 	start := float64(now)
 	if d.busyUntil > start {
 		start = d.busyUntil
@@ -73,9 +59,6 @@ func (d *Device) Occupy(now arch.Cycles, bytes int) arch.Cycles {
 	service := float64(bytes) / d.BytesPerCycle
 	d.Accesses++
 	d.Bytes += uint64(bytes)
-	if d.unordered {
-		return arch.Cycles(service)
-	}
 	start := float64(now)
 	if d.busyUntil > start {
 		start = d.busyUntil
@@ -161,13 +144,6 @@ func (m *Memory) Device(spa arch.SPA) *Device {
 		return m.HBM
 	}
 	return m.DRAM
-}
-
-// SetUnordered switches both devices between the queued (serial engine)
-// and queue-free (parallel engine) timing models; see Device.unordered.
-func (m *Memory) SetUnordered(b bool) {
-	m.HBM.unordered = b
-	m.DRAM.unordered = b
 }
 
 // AllocPT allocates one page-table frame from the PT heap.

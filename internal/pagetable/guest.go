@@ -100,8 +100,7 @@ func (g *GuestPT) Map(gvp arch.GVP, gpp arch.GPP) error {
 	g.store.WritePTE(spa, MakePTE(uint64(gpp), true))
 	// Populate the leaf cache now rather than lazily on first Translate:
 	// guest mappings are all installed at process setup, so run-time
-	// Translate is then a pure read — a requirement for the parallel
-	// engine, whose workers probe the guest tables concurrently.
+	// Translate is then a pure read that never mutates the cache.
 	g.leafCache.set(uint64(gvp), uint64(gpp))
 	return nil
 }

@@ -83,8 +83,7 @@ func (n *NestedPT) Map(gpp arch.GPP, spp arch.SPP, present bool) (arch.SPA, erro
 	n.store.WritePTE(spa, MakePTE(uint64(spp), present))
 	// Populate the leaf cache now rather than lazily on first lookup:
 	// mapping happens at VM setup, so every run-time LeafSPA for an
-	// existing path is then a pure read — a requirement for the parallel
-	// engine, whose workers probe the nested tables concurrently.
+	// existing path is then a pure read that never mutates the cache.
 	n.leafCache.set(uint64(gpp), uint64(spa))
 	return spa, nil
 }

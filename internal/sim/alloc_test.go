@@ -100,45 +100,3 @@ func TestSteadyStateZeroAllocsStorms(t *testing.T) {
 			ksm.Merges, ksm.Breaks, sys.hyp.CompactionMoves())
 	}
 }
-
-// TestSteadyStateZeroAllocsParallel extends the allocation gate to the
-// epoch-barrier parallel engine: once the deferred-event logs, the
-// accessed-bit buffers, and every serial structure have reached their
-// high-water marks, a full epoch — worker fan-out, barrier merge, replay —
-// must not allocate. The persistent workers, the reused per-CPU log
-// slices, and the capacity-keeping Reset exist precisely so this holds.
-func TestSteadyStateZeroAllocsParallel(t *testing.T) {
-	spec := smokeSpec()
-	spec.Refs = 100_000_000 // never exhausts during the test
-	cfg := smokeConfig()
-	cfg.Mem.HBMFrames = 4096 // inf-hbm: no faults, pure steady state
-	cfg.Dir.Entries = 4096
-	sys, err := New(Options{
-		Config:       cfg,
-		Protocol:     "hatric",
-		Paging:       hv.PagingConfig{Policy: "lru"},
-		Mode:         hv.ModeInfHBM,
-		Workloads:    SingleWorkload(spec, cfg.NumCPUs),
-		Seed:         3,
-		ParallelCPUs: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.parInit()
-	defer sys.parStop()
-	epoch := func(n int) {
-		for i := 0; i < n; i++ {
-			if err := sys.parEpoch(); err != nil {
-				t.Fatal(err)
-			}
-			if sys.active == 0 {
-				t.Fatal("machine went idle during the test")
-			}
-		}
-	}
-	epoch(40) // warm every structure and log past its high-water mark
-	if avg := testing.AllocsPerRun(20, func() { epoch(2) }); avg != 0 {
-		t.Errorf("parallel steady state allocates: %.2f allocs per 2 epochs", avg)
-	}
-}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync"
 	"testing"
 
 	"hatric/internal/arch"
@@ -87,33 +88,57 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestFaultDeterminismParallel extends the property across the
-// epoch-barrier parallel engine: the global per-site fault sequences are
-// replayed serially at barriers in deterministic merge order, so the
-// worker count must not change a single decision — every ParallelCPUs
-// setting fingerprints identically to ParallelCPUs=1. (The parallel
-// engine's epoch semantics intentionally differ from the serial engine's,
-// so — exactly like the parallel golden suite — the invariant is across
-// worker counts, not against the serial engine.)
+// TestFaultDeterminismParallel runs fault-injected scenarios on concurrent
+// goroutines, as exp.Runner.Parallel runs sweep cells, and requires each
+// to fingerprint exactly as its sequential run. The injector's per-site
+// streams belong to one System, so concurrent runs must not perturb each
+// other's fault decisions.
 func TestFaultDeterminismParallel(t *testing.T) {
+	type job struct {
+		protocol string
+		seed     uint64
+	}
+	var jobs []job
 	for _, p := range []string{"sw", "hatric", "unitd", "ideal"} {
 		for _, seed := range []uint64{1, 23} {
-			run := func(workers int) uint64 {
-				opts := faultOpts(p, seed)
-				opts.ParallelCPUs = workers
-				res := runFaultOpts(t, opts)
-				if p == "sw" && res.Agg.IPIsLost == 0 {
-					t.Errorf("%s/seed=%d/workers=%d: IPI fault site never fired", p, seed, workers)
-				}
-				return goldenFingerprint(res)
+			jobs = append(jobs, job{p, seed})
+		}
+	}
+	want := make([]uint64, len(jobs))
+	for i, j := range jobs {
+		res := runFaultOpts(t, faultOpts(j.protocol, j.seed))
+		if j.protocol == "sw" && res.Agg.IPIsLost == 0 {
+			t.Errorf("%s/seed=%d: IPI fault site never fired", j.protocol, j.seed)
+		}
+		want[i] = goldenFingerprint(res)
+	}
+	got := make([]uint64, len(jobs))
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sys, err := New(faultOpts(j.protocol, j.seed))
+			if err != nil {
+				errs[i] = err
+				return
 			}
-			base := run(1)
-			for _, workers := range []int{2, 4} {
-				if got := run(workers); got != base {
-					t.Errorf("%s/seed=%d: ParallelCPUs=%d diverged from ParallelCPUs=1: %#016x vs %#016x",
-						p, seed, workers, got, base)
-				}
+			res, err := sys.Run()
+			if err != nil {
+				errs[i] = err
+				return
 			}
+			got[i] = goldenFingerprint(res)
+		}()
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		if errs[i] != nil {
+			t.Errorf("%s/seed=%d: concurrent run: %v", j.protocol, j.seed, errs[i])
+		} else if got[i] != want[i] {
+			t.Errorf("%s/seed=%d: concurrent run diverged from sequential: %#016x vs %#016x",
+				j.protocol, j.seed, got[i], want[i])
 		}
 	}
 }

@@ -35,8 +35,6 @@ var fpSkipZero = map[string]bool{
 	"KSMBreaks":            true,
 	"BalloonReclaims":      true,
 	"CompactionMoves":      true,
-	"ParallelEpochs":       true,
-	"ParallelDeferred":     true,
 	"IPIsLost":             true,
 	"ShootdownRetries":     true,
 	"AcksLost":             true,
@@ -166,7 +164,6 @@ func TestFingerprintFormatterCompat(t *testing.T) {
 	// The legacy format is today's %+v with the all-zero storm-counter tail
 	// removed — exactly what %+v printed when the fingerprints were frozen.
 	tail := " KSMMerges:0 KSMBreaks:0 BalloonReclaims:0 CompactionMoves:0" +
-		" ParallelEpochs:0 ParallelDeferred:0" +
 		" IPIsLost:0 ShootdownRetries:0 AcksLost:0 RelayReissues:0" +
 		" MigrationLinkRetries:0 BalloonReturns:0}"
 	want := fmt.Sprintf("%+v", legacy)
@@ -469,5 +466,45 @@ func TestGoldenCounters(t *testing.T) {
 			fmt.Println(l)
 		}
 		fmt.Println("}")
+	}
+}
+
+// TestGoldenCountersParallel runs the same golden scenarios as concurrent
+// subtests and holds them to the same goldenWant fingerprints.
+// exp.Runner.Parallel runs sweep cells on concurrent goroutines in one
+// process, which is sound only if every System is self-contained: mutable
+// state shared between runs would shift a fingerprint here, and shows up
+// as a data race under go test -race.
+func TestGoldenCountersParallel(t *testing.T) {
+	scenarios := goldenScenarios()
+	names := make([]string, 0, len(scenarios))
+	for name := range scenarios {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		build := scenarios[name]
+		for _, proto := range []string{"sw", "hatric", "unitd", "ideal"} {
+			key := name + "/" + proto
+			t.Run(key, func(t *testing.T) {
+				t.Parallel()
+				sys, err := New(build(proto))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sys.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, ok := goldenWant[key]
+				if !ok {
+					t.Fatalf("no golden fingerprint for %s", key)
+				}
+				if got := goldenFingerprint(res); got != want {
+					t.Errorf("fingerprint drifted under concurrent runs: got %#016x want %#016x",
+						got, want)
+				}
+			})
+		}
 	}
 }

@@ -23,11 +23,6 @@ import (
 // Options.SchedQuantum is zero.
 const DefaultSchedQuantum = arch.Cycles(50_000)
 
-// DefaultEpochCycles is the parallel engine's epoch length when
-// Options.EpochCycles is zero: one scheduler quantum, so a time-sliced
-// machine's world switches keep landing inside a single epoch.
-const DefaultEpochCycles = arch.Cycles(50_000)
-
 // AssignedWorkload pins one process's threads to physical CPUs (or, under
 // vCPU overcommit, to vCPU slots — see Options.VCPUsPerCPU).
 type AssignedWorkload struct {
@@ -173,25 +168,6 @@ type Options struct {
 	// for hardware without VPID-tagged structures. Off, the VM tags keep
 	// every VM's entries resident (and correct) across switches.
 	FlushOnVMSwitch bool
-
-	// ParallelCPUs > 0 enables the epoch-barrier parallel engine: physical
-	// CPUs are sharded across that many worker goroutines that advance in
-	// fixed-length cycle epochs, with cross-shard effects (shared-cache
-	// fills, invalidation waves, faults, storm daemons) logged per CPU and
-	// replayed serially in deterministic merge order at each barrier. The
-	// results are bit-identical for any worker count at a given
-	// configuration (a pure throughput knob), but the deferral shifts
-	// shared-state timing relative to the serial engine, so parallel runs
-	// carry their own golden set — see doc.go, "Parallel execution".
-	// 0 (the default) runs the serial engine, byte-for-byte unchanged.
-	ParallelCPUs int
-	// EpochCycles is the parallel engine's epoch length in cycles
-	// (default DefaultEpochCycles). Ignored unless ParallelCPUs > 0.
-	// Shorter epochs tighten cross-CPU timing fidelity; longer epochs
-	// amortize barrier overhead. The value changes simulated results (it
-	// sets how long cross-shard effects stay deferred), so it is part of
-	// the configuration a golden fingerprint covers.
-	EpochCycles arch.Cycles
 }
 
 // SingleWorkload assigns one multithreaded process across the first
@@ -428,10 +404,6 @@ type System struct {
 	keyMask   uint64
 	hpos      []int32
 	heapDirty bool
-
-	// par is the epoch-barrier parallel engine's state (parallel.go), nil
-	// on the serial path.
-	par *parState
 }
 
 // New builds a system from the options.
@@ -458,13 +430,6 @@ func New(opts Options) (*System, error) {
 	}
 	if err := validateVMSpecs(vmSpecs, &cfg, ratio, opts.Mode); err != nil {
 		return nil, err
-	}
-	switch {
-	case opts.ParallelCPUs < 0:
-		return nil, fmt.Errorf("sim: ParallelCPUs must be >= 0, got %d", opts.ParallelCPUs)
-	case opts.ParallelCPUs > cfg.NumCPUs:
-		return nil, fmt.Errorf("sim: ParallelCPUs %d exceeds the machine's %d physical CPUs; workers shard pCPUs, so extra workers would sit idle — use at most NumCPUs",
-			opts.ParallelCPUs, cfg.NumCPUs)
 	}
 
 	s := &System{opts: opts, cfg: cfg, sched: ratio > 1}
@@ -840,19 +805,13 @@ func (s *System) Clock(cpu int) arch.Cycles { return s.clock[cpu] }
 
 // Run executes every stream to completion and returns the result.
 func (s *System) Run() (*Result, error) {
-	if s.opts.ParallelCPUs > 0 {
-		if err := s.runParallel(); err != nil {
+	for s.active > 0 {
+		ok, err := s.stepOnce()
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		for s.active > 0 {
-			ok, err := s.stepOnce()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
+		if !ok {
+			break
 		}
 	}
 	if err := s.drainMigrations(); err != nil {
@@ -1061,13 +1020,7 @@ func (s *System) attribute(cpu, vm int) {
 	}
 	d := *c
 	d.Sub(&s.snap[cpu])
-	if s.par != nil {
-		// Workers attribute concurrently; each writes its own CPU's row of
-		// the per-(CPU, VM) matrix, folded into perVM at collect time.
-		s.par.perVM[cpu][vm].Add(&d)
-	} else {
-		s.perVM[vm].Add(&d)
-	}
+	s.perVM[vm].Add(&d)
 	s.snap[cpu] = *c
 }
 
@@ -1236,16 +1189,6 @@ func (s *System) collect() *Result {
 	if s.sched {
 		for cpu := range s.cnt {
 			s.attribute(cpu, s.vmOf[cpu])
-		}
-		if s.par != nil {
-			// Fold the per-(CPU, VM) attribution matrix the workers filled
-			// race-free into the per-VM aggregates, in CPU order.
-			for cpu := range s.par.perVM {
-				for v := range s.par.perVM[cpu] {
-					s.perVM[v].Add(&s.par.perVM[cpu][v])
-					s.par.perVM[cpu][v].Reset()
-				}
-			}
 		}
 		copy(r.PerVM, s.perVM)
 	}

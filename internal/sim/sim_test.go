@@ -190,11 +190,18 @@ func TestBadOptionsRejected(t *testing.T) {
 			t.Errorf("case %d: invalid options accepted", i)
 		}
 	}
-	badCfg := cfg
-	badCfg.NumCPUs = 0
-	if _, err := New(Options{Config: badCfg, Protocol: "hatric",
-		Workloads: SingleWorkload(smokeSpec(), 1)}); err == nil {
-		t.Errorf("invalid config accepted")
+	badCfgs := []func(*arch.Config){
+		func(c *arch.Config) { c.NumCPUs = 0 },
+		// A zero bandwidth must fail validation, not panic in memdev.
+		func(c *arch.Config) { c.Mem.HBMBytesPerCycle = 0 },
+	}
+	for i, mutate := range badCfgs {
+		badCfg := cfg
+		mutate(&badCfg)
+		if _, err := New(Options{Config: badCfg, Protocol: "hatric",
+			Workloads: SingleWorkload(smokeSpec(), 1)}); err == nil {
+			t.Errorf("config case %d: invalid config accepted", i)
+		}
 	}
 }
 

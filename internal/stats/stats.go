@@ -143,15 +143,6 @@ type Counters struct {
 	BalloonReclaims uint64
 	CompactionMoves uint64
 
-	// Parallel-mode execution (sim.Options.ParallelCPUs > 0; both stay
-	// zero on the serial path, keeping serial fingerprints frozen).
-	// ParallelEpochs counts epoch barriers (machine-wide, recorded on CPU
-	// 0); ParallelDeferred counts the cross-shard events each CPU logged
-	// for barrier replay — the mode's serialization traffic, the number to
-	// watch when tuning EpochCycles.
-	ParallelEpochs   uint64
-	ParallelDeferred uint64
-
 	// Fault injection and recovery (internal/faults; all six stay zero —
 	// and the fingerprints frozen — unless sim.Options.Faults enables a
 	// fault site). IPIsLost counts shootdown IPIs lost in delivery and
@@ -238,8 +229,6 @@ func (c *Counters) Add(o *Counters) {
 	c.KSMBreaks += o.KSMBreaks
 	c.BalloonReclaims += o.BalloonReclaims
 	c.CompactionMoves += o.CompactionMoves
-	c.ParallelEpochs += o.ParallelEpochs
-	c.ParallelDeferred += o.ParallelDeferred
 	c.IPIsLost += o.IPIsLost
 	c.ShootdownRetries += o.ShootdownRetries
 	c.AcksLost += o.AcksLost

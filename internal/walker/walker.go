@@ -56,12 +56,6 @@ type Walker struct {
 	Nested *pagetable.NestedPT
 	Guest  GuestPTResolver
 
-	// DeferAccessed suppresses the walk-time nested accessed-bit update
-	// (the page tables are shared mutable state). The parallel simulator
-	// sets it and instead applies its own per-reference accessed-bit log —
-	// which covers every walked data page too — at the epoch barrier.
-	DeferAccessed bool
-
 	// vm is the current VM's ID (VPID), installed by SetVM; 0 when never
 	// set (single-VM rigs).
 	vm int
@@ -182,12 +176,8 @@ func (w *Walker) walk(pid int, gvp arch.GVP, now arch.Cycles) (arch.SPP, arch.GP
 	}
 
 	// Hardware metadata update: set the accessed bit (picked up by normal
-	// cache coherence; not a remap). Deferred to the epoch barrier in
-	// parallel mode, where the sim's per-reference accessed log — which
-	// includes dataGPP — applies it.
-	if !w.DeferAccessed {
-		w.Nested.SetAccessed(dataGPP, true)
-	}
+	// cache coherence; not a remap).
+	w.Nested.SetAccessed(dataGPP, true)
 
 	// Fill the TLBs. Co-tag: the nested leaf PTE of the data page.
 	leafSPA, _ := w.Nested.LeafSPA(dataGPP)
