@@ -58,3 +58,35 @@ func BenchmarkFlushAll(b *testing.B) {
 		cs.FlushAll()
 	}
 }
+
+// BenchmarkFlushVMSparse measures a software shootdown's VPID-scoped flush
+// at a target CPU that holds only 0-4 entries, the common case once every
+// CPU of a VM is flushed at each remap.
+func BenchmarkFlushVMSparse(b *testing.B) {
+	cs := NewCPUSet(arch.DefaultTLBConfig())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := uint64(0); j < uint64(i%5); j++ {
+			cs.L1TLB.Fill(0, j, j, j*8, 0)
+			cs.L2TLB.Fill(0, j, j, j*8, 0)
+		}
+		cs.FlushVMAll(0)
+	}
+}
+
+// BenchmarkCoTagInvalidationSparse measures HATRIC's co-tag
+// compare-and-invalidate at a relay target holding a handful of entries,
+// none from the written line: the common relay, which drops nothing.
+func BenchmarkCoTagInvalidationSparse(b *testing.B) {
+	cs := NewCPUSet(arch.DefaultTLBConfig())
+	for j := uint64(0); j < 4; j++ {
+		cs.L1TLB.Fill(0, j, j, (5000+j)*8, 0)
+		cs.L2TLB.Fill(0, j, j, (5000+j)*8, 0)
+		cs.NTLB.Fill(0, j, j, (6000+j)*8, 0)
+	}
+	mask := CoTagMask(2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cs.InvalidateMaskedAll(0, uint64(i&1023)*8, 3, mask)
+	}
+}

@@ -49,10 +49,29 @@ type Entry struct {
 // Entry metadata lives in flat parallel arrays (keys, sources, VM tags, ...)
 // instead of an []Entry: the hot compares — the (VM, key) probe of a lookup
 // and the (VM, co-tag) CAM sweep of an invalidation — each walk only the two
-// or three dense arrays they need. A per-set valid count lets probes of
-// empty sets miss in O(1) and lets the CAM-style sweeps of
-// InvalidateMasked/FlushVM/CachesMasked skip empty sets entirely (the
-// modeled compare energy is unchanged: only valid entries ever counted).
+// or three dense arrays they need.
+//
+// Three occupancy summaries make every sweep (Flush, FlushVM,
+// InvalidateMasked, InvalidateMaskedExcept, CachesMasked, UpdateMatching)
+// cost what the structure holds rather than its capacity:
+//
+//   - a per-set valid count, so probes of empty sets miss in O(1) and
+//     sweeps skip empty sets;
+//   - a structure-wide valid count (the sum of the per-set counts), so a
+//     sweep of an empty structure returns in O(1), a sweep stops after the
+//     last occupied set, and ValidCount is O(1);
+//   - a 64-bit co-tag signature per set with bit (Src>>3)&63 — bits 0-5 of
+//     the source line index — set for every valid entry. Fills OR bits in;
+//     a sweep that scans a set in full rebuilds its signature from the
+//     entries it leaves valid, and an emptied set's signature is zero. In
+//     between it may over-approximate (an eviction leaves its victim's bit
+//     behind) but never misses a valid entry's bit, so a co-tag sweep whose
+//     compare pins line bits 0-5 skips every set lacking the query's bit.
+//
+// The modeled CAM compare count is unchanged: a sweep still charges one
+// CoTagCompares per valid entry of every set it passes, skipped or
+// scanned, and visits sets in index order, so CachesMasked's early exit
+// and UpdateMatching's visit order are exactly those of a full scan.
 //
 // Recency is exact rank-based LRU (see internal/lrurank): identical
 // victims to a per-touch-timestamp scheme at a fraction of the footprint.
@@ -74,7 +93,9 @@ type Struct struct {
 	ranks []uint8
 	vms   []int32 // owning VM per entry; -1 marks an invalid way
 	kinds []uint8
-	vcnt  []int32 // valid entries per set
+	vcnt  []int32  // valid entries per set
+	sigs  []uint64 // co-tag signature per set (see sigBit)
+	valid int      // valid entries in the whole structure: the sum of vcnt
 
 	// Stats
 	Hits               uint64
@@ -118,6 +139,7 @@ func New(name string, totalEntries, ways int) *Struct {
 		vms:        make([]int32, n),
 		kinds:      make([]uint8, n),
 		vcnt:       make([]int32, sets),
+		sigs:       make([]uint64, sets),
 	}
 	for i := range st.vms {
 		st.vms[i] = -1
@@ -251,13 +273,29 @@ func (s *Struct) Peek(vm int, key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// setEntry overwrites index i with a fresh valid entry.
-func (s *Struct) setEntry(i int, vm int, key, val, src uint64, kind uint8) {
+// setEntry overwrites index i of set with a fresh valid entry.
+func (s *Struct) setEntry(set, i int, vm int, key, val, src uint64, kind uint8) {
 	s.keys[i] = key
 	s.vals[i] = val
 	s.srcs[i] = src
 	s.vms[i] = int32(vm)
 	s.kinds[i] = kind
+	s.sigs[set] |= sigBit(src)
+}
+
+// sigBit is source word src's bit in a set signature: bits 0-5 of its
+// line index.
+func sigBit(src uint64) uint64 { return 1 << ((src >> 3) & 63) }
+
+// sigWant returns the signature bit every entry matching the masked
+// compare against src must carry. A compare that does not pin line bits
+// 0-5 (a shift past 3, or a mask narrower than those bits) gets all ones,
+// which no occupied set lacks.
+func sigWant(src uint64, shift uint, mask uint64) uint64 {
+	if shift <= 3 && (mask>>(3-shift))&63 == 63 {
+		return sigBit(src)
+	}
+	return ^uint64(0)
 }
 
 // Fill inserts a translation tagged with vm. If a valid victim had to be
@@ -285,19 +323,21 @@ func (s *Struct) Fill(vm int, key, val, src uint64, kind uint8) (victim Entry, e
 			s.vals[i] = val
 			s.srcs[i] = src
 			s.kinds[i] = kind
+			s.sigs[set] |= sigBit(src)
 			s.touch(rbase, i-base)
 			return Entry{}, false
 		}
 	}
 	if free >= 0 {
-		s.setEntry(free, vm, key, val, src, kind)
+		s.setEntry(set, free, vm, key, val, src, kind)
 		s.touch(rbase, free-base)
 		s.vcnt[set]++
+		s.valid++
 		return Entry{}, false
 	}
 	lruWay := lrurank.Oldest(s.ranks[rbase:rbase+s.rankStride], s.ways)
 	victim = s.entryAt(base + lruWay)
-	s.setEntry(base+lruWay, vm, key, val, src, kind)
+	s.setEntry(set, base+lruWay, vm, key, val, src, kind)
 	s.touch(rbase, lruWay)
 	s.Evictions++
 	return victim, true
@@ -308,9 +348,13 @@ func (s *Struct) Fill(vm int, key, val, src uint64, kind uint8) (victim Entry, e
 //
 //hatric:hotpath
 func (s *Struct) InvalidateKey(vm int, key uint64) bool {
-	if i := s.find(vm, key); i >= 0 {
+	set := s.setOf(key)
+	if i := s.findIn(set, vm, key); i >= 0 {
 		s.vms[i] = -1
-		s.vcnt[s.setOf(key)]--
+		s.valid--
+		if s.vcnt[set]--; s.vcnt[set] == 0 {
+			s.sigs[set] = 0
+		}
 		return true
 	}
 	return false
@@ -327,30 +371,7 @@ func (s *Struct) InvalidateKey(vm int, key uint64) bool {
 //
 //hatric:hotpath
 func (s *Struct) InvalidateMasked(vm int, src uint64, shift uint, mask uint64) int {
-	n := 0
-	target := (src >> shift) & mask
-	for set := 0; set < s.sets; set++ {
-		if s.vcnt[set] == 0 {
-			continue
-		}
-		base := set * s.ways
-		for i := base; i < base+s.ways; i++ {
-			if s.vms[i] < 0 {
-				continue
-			}
-			s.CoTagCompares++
-			if !s.vmMatch(i, vm) {
-				continue
-			}
-			if (s.srcs[i]>>shift)&mask == target {
-				s.vms[i] = -1
-				s.vcnt[set]--
-				n++
-			}
-		}
-	}
-	s.CoTagInvalidations += uint64(n)
-	return n
+	return s.invalidateMasked(vm, src, shift, mask, false, 0)
 }
 
 // InvalidateMaskedExcept behaves like InvalidateMasked but spares entries
@@ -359,59 +380,80 @@ func (s *Struct) InvalidateMasked(vm int, src uint64, shift uint, mask uint64) i
 //
 //hatric:hotpath
 func (s *Struct) InvalidateMaskedExcept(vm int, src uint64, shift uint, mask, exceptSrc uint64) int {
-	n := 0
+	return s.invalidateMasked(vm, src, shift, mask, true, exceptSrc)
+}
+
+// invalidateMasked is InvalidateMasked, sparing exceptSrc when spare is
+// set. The CAM compares every valid entry, so the compare count is the
+// valid count whichever sets the signatures let the sweep skip.
+func (s *Struct) invalidateMasked(vm int, src uint64, shift uint, mask uint64, spare bool, exceptSrc uint64) int {
+	s.CoTagCompares += uint64(s.valid)
 	target := (src >> shift) & mask
-	for set := 0; set < s.sets; set++ {
-		if s.vcnt[set] == 0 {
+	want := sigWant(src, shift, mask)
+	n := 0
+	for set, left := 0, s.valid; left > 0; set++ {
+		c := int(s.vcnt[set])
+		left -= c
+		if c == 0 || s.sigs[set]&want == 0 {
 			continue
 		}
 		base := set * s.ways
+		d := 0
+		var sig uint64
 		for i := base; i < base+s.ways; i++ {
 			if s.vms[i] < 0 {
 				continue
 			}
-			s.CoTagCompares++
-			if !s.vmMatch(i, vm) {
-				continue
-			}
-			if s.srcs[i] == exceptSrc {
-				continue
-			}
-			if (s.srcs[i]>>shift)&mask == target {
+			sr := s.srcs[i]
+			if s.vmMatch(i, vm) && (sr>>shift)&mask == target && !(spare && sr == exceptSrc) {
 				s.vms[i] = -1
-				s.vcnt[set]--
-				n++
+				d++
+				continue
 			}
+			sig |= sigBit(sr)
 		}
+		s.sigs[set] = sig
+		s.vcnt[set] -= int32(d)
+		n += d
 	}
+	s.valid -= n
 	s.CoTagInvalidations += uint64(n)
 	return n
 }
 
 // CachesMasked reports whether any valid entry of vm matches the masked
 // compare (used by the eager directory-update ablation; counts compare
-// energy).
+// energy up to and including the first match, in set order).
 //
 //hatric:hotpath
 func (s *Struct) CachesMasked(vm int, src uint64, shift uint, mask uint64) bool {
 	target := (src >> shift) & mask
-	for set := 0; set < s.sets; set++ {
-		if s.vcnt[set] == 0 {
+	want := sigWant(src, shift, mask)
+	for set, left := 0, s.valid; left > 0; set++ {
+		c := int(s.vcnt[set])
+		left -= c
+		if c == 0 {
 			continue
 		}
-		base := set * s.ways
-		for i := base; i < base+s.ways; i++ {
-			if s.vms[i] < 0 {
-				continue
+		if s.sigs[set]&want != 0 {
+			base := set * s.ways
+			seen := uint64(0)
+			var sig uint64
+			for i := base; i < base+s.ways; i++ {
+				if s.vms[i] < 0 {
+					continue
+				}
+				seen++
+				sr := s.srcs[i]
+				if s.vmMatch(i, vm) && (sr>>shift)&mask == target {
+					s.CoTagCompares += seen
+					return true
+				}
+				sig |= sigBit(sr)
 			}
-			s.CoTagCompares++
-			if !s.vmMatch(i, vm) {
-				continue
-			}
-			if (s.srcs[i]>>shift)&mask == target {
-				return true
-			}
+			s.sigs[set] = sig
 		}
+		s.CoTagCompares += uint64(c)
 	}
 	return false
 }
@@ -426,24 +468,35 @@ func (s *Struct) CachesMasked(vm int, src uint64, shift uint, mask uint64) bool 
 //hatric:hotpath
 func (s *Struct) UpdateMatching(vm int, src uint64, upd func(Entry) (uint64, bool)) int {
 	n := 0
-	for set := 0; set < s.sets; set++ {
-		if s.vcnt[set] == 0 {
+	want := sigBit(src)
+	for set, left := 0, s.valid; left > 0; set++ {
+		c := int(s.vcnt[set])
+		left -= c
+		if c == 0 || s.sigs[set]&want == 0 {
 			continue
 		}
 		base := set * s.ways
+		d := 0
+		var sig uint64
 		for i := base; i < base+s.ways; i++ {
-			if s.srcs[i] != src || !s.vmMatch(i, vm) {
+			if s.vms[i] < 0 {
 				continue
 			}
-			newVal, keep := upd(s.entryAt(i))
-			if keep {
+			if s.srcs[i] == src && s.vmMatch(i, vm) {
+				n++
+				newVal, keep := upd(s.entryAt(i))
+				if !keep {
+					s.vms[i] = -1
+					d++
+					continue
+				}
 				s.vals[i] = newVal
-			} else {
-				s.vms[i] = -1
-				s.vcnt[set]--
 			}
-			n++
+			sig |= sigBit(s.srcs[i])
 		}
+		s.sigs[set] = sig
+		s.vcnt[set] -= int32(d)
+		s.valid -= d
 	}
 	return n
 }
@@ -451,25 +504,7 @@ func (s *Struct) UpdateMatching(vm int, src uint64, upd func(Entry) (uint64, boo
 // Flush invalidates everything and returns how many entries were lost.
 //
 //hatric:hotpath
-func (s *Struct) Flush() int {
-	n := 0
-	for set := 0; set < s.sets; set++ {
-		if s.vcnt[set] == 0 {
-			continue
-		}
-		base := set * s.ways
-		for i := base; i < base+s.ways; i++ {
-			if s.vms[i] >= 0 {
-				s.vms[i] = -1
-				n++
-			}
-		}
-		s.vcnt[set] = 0
-	}
-	s.Flushes++
-	s.FlushedEntries += uint64(n)
-	return n
-}
+func (s *Struct) Flush() int { return s.FlushVM(AnyVM) }
 
 // FlushVM invalidates only vm's entries (invept single-context / a
 // VPID-scoped flush) and returns how many were lost. Other VMs' entries —
@@ -479,32 +514,35 @@ func (s *Struct) Flush() int {
 //hatric:hotpath
 func (s *Struct) FlushVM(vm int) int {
 	n := 0
-	for set := 0; set < s.sets; set++ {
-		if s.vcnt[set] == 0 {
+	for set, left := 0, s.valid; left > 0; set++ {
+		c := int(s.vcnt[set])
+		left -= c
+		if c == 0 {
 			continue
 		}
 		base := set * s.ways
+		d := 0
+		var sig uint64
 		for i := base; i < base+s.ways; i++ {
 			if s.vmMatch(i, vm) {
 				s.vms[i] = -1
-				s.vcnt[set]--
-				n++
+				d++
+			} else if s.vms[i] >= 0 {
+				sig |= sigBit(s.srcs[i])
 			}
 		}
+		s.sigs[set] = sig
+		s.vcnt[set] -= int32(d)
+		n += d
 	}
+	s.valid -= n
 	s.Flushes++
 	s.FlushedEntries += uint64(n)
 	return n
 }
 
 // ValidCount returns the number of valid entries.
-func (s *Struct) ValidCount() int {
-	n := 0
-	for set := 0; set < s.sets; set++ {
-		n += int(s.vcnt[set])
-	}
-	return n
-}
+func (s *Struct) ValidCount() int { return s.valid }
 
 // ForEachValid visits every valid entry.
 func (s *Struct) ForEachValid(fn func(e Entry)) {

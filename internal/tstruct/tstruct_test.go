@@ -1,10 +1,12 @@
 package tstruct
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"hatric/internal/arch"
+	"hatric/internal/xrand"
 )
 
 func TestFillLookup(t *testing.T) {
@@ -156,38 +158,47 @@ func TestCoTagMask(t *testing.T) {
 	}
 }
 
-// Property: masked invalidation drops exactly the entries whose masked line
-// index matches, and compare counts equal valid entries scanned.
+// Property: masked invalidation scoped to one of three VMs drops exactly
+// that VM's entries whose masked line index matches, keeps every other
+// entry, and charges one compare per valid entry of every VM.
 func TestInvalidateMaskedProperty(t *testing.T) {
-	f := func(srcs []uint16, target uint16, width uint8) bool {
+	f := func(srcs []uint16, vms []uint8, target uint16, width, vmSel uint8) bool {
 		s := New("tlb", 64, 4)
 		mask := CoTagMask(int(width%3) + 1)
-		want := 0
-		kept := map[uint64]bool{}
+		vm := int(vmSel % 3)
 		for i, src := range srcs {
 			if i >= 30 {
 				break
 			}
-			s.Fill(0, uint64(i), uint64(i), uint64(src), 0)
+			owner := 0
+			if i < len(vms) {
+				owner = int(vms[i] % 3)
+			}
+			s.Fill(owner, uint64(i), uint64(i), uint64(src), 0)
 		}
+		want := 0
+		var kept []Entry
 		s.ForEachValid(func(e Entry) {
-			if (e.Src>>3)&mask == (uint64(target)>>3)&mask {
+			if int(e.VM) == vm && (e.Src>>3)&mask == (uint64(target)>>3)&mask {
 				want++
 			} else {
-				kept[e.Key] = true
+				kept = append(kept, e)
 			}
 		})
-		got := s.InvalidateMasked(0, uint64(target), 3, mask)
-		if got != want {
+		valid := s.ValidCount()
+		before := s.CoTagCompares
+		if got := s.InvalidateMasked(vm, uint64(target), 3, mask); got != want {
 			return false
 		}
-		ok := true
-		for key := range kept {
-			if _, hit := s.Peek(0, key); !hit {
-				ok = false
+		if s.CoTagCompares-before != uint64(valid) || s.ValidCount() != len(kept) {
+			return false
+		}
+		for _, e := range kept {
+			if _, hit := s.Peek(int(e.VM), e.Key); !hit {
+				return false
 			}
 		}
-		return ok
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -346,4 +357,327 @@ func TestKeys(t *testing.T) {
 	if NTLBKey(7) != 7 {
 		t.Errorf("nTLB key is the GPP")
 	}
+}
+
+// checkInvariants asserts the occupancy summaries every sweep relies on:
+// the structure-wide valid count is the sum of the per-set counts, each
+// per-set count matches the set's valid ways, every valid entry's bit is
+// in its set's signature, and an empty set's signature is zero.
+func checkInvariants(t *testing.T, s *Struct) {
+	t.Helper()
+	total := 0
+	for set := 0; set < s.sets; set++ {
+		n := 0
+		for i := set * s.ways; i < (set+1)*s.ways; i++ {
+			if s.vms[i] < 0 {
+				continue
+			}
+			n++
+			if s.sigs[set]&sigBit(s.srcs[i]) == 0 {
+				t.Fatalf("%s set %d: entry %d (src %#x) missing from signature %#x",
+					s.name, set, i, s.srcs[i], s.sigs[set])
+			}
+		}
+		if int(s.vcnt[set]) != n {
+			t.Fatalf("%s set %d: vcnt %d, %d valid ways", s.name, set, s.vcnt[set], n)
+		}
+		if n == 0 && s.sigs[set] != 0 {
+			t.Fatalf("%s set %d: empty set has signature %#x", s.name, set, s.sigs[set])
+		}
+		total += n
+	}
+	if s.valid != total {
+		t.Fatalf("%s: valid %d, sum of vcnt %d", s.name, s.valid, total)
+	}
+}
+
+// The reference oracle: the capacity-bound sweeps as they were before the
+// structure-wide valid count and the per-set signatures existed. They read
+// and write only the entry arrays and the per-set counts, so a Struct
+// driven through them keeps a stale valid count and stale signatures,
+// which nothing on the reference side reads.
+
+func refInvalidateKey(s *Struct, vm int, key uint64) bool {
+	if i := s.find(vm, key); i >= 0 {
+		s.vms[i] = -1
+		s.vcnt[s.setOf(key)]--
+		return true
+	}
+	return false
+}
+
+func refInvalidateMasked(s *Struct, vm int, src uint64, shift uint, mask uint64, spare bool, exceptSrc uint64) int {
+	n := 0
+	target := (src >> shift) & mask
+	for set := 0; set < s.sets; set++ {
+		if s.vcnt[set] == 0 {
+			continue
+		}
+		base := set * s.ways
+		for i := base; i < base+s.ways; i++ {
+			if s.vms[i] < 0 {
+				continue
+			}
+			s.CoTagCompares++
+			if !s.vmMatch(i, vm) {
+				continue
+			}
+			if spare && s.srcs[i] == exceptSrc {
+				continue
+			}
+			if (s.srcs[i]>>shift)&mask == target {
+				s.vms[i] = -1
+				s.vcnt[set]--
+				n++
+			}
+		}
+	}
+	s.CoTagInvalidations += uint64(n)
+	return n
+}
+
+func refCachesMasked(s *Struct, vm int, src uint64, shift uint, mask uint64) bool {
+	target := (src >> shift) & mask
+	for set := 0; set < s.sets; set++ {
+		if s.vcnt[set] == 0 {
+			continue
+		}
+		base := set * s.ways
+		for i := base; i < base+s.ways; i++ {
+			if s.vms[i] < 0 {
+				continue
+			}
+			s.CoTagCompares++
+			if !s.vmMatch(i, vm) {
+				continue
+			}
+			if (s.srcs[i]>>shift)&mask == target {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func refUpdateMatching(s *Struct, vm int, src uint64, upd func(Entry) (uint64, bool)) int {
+	n := 0
+	for set := 0; set < s.sets; set++ {
+		if s.vcnt[set] == 0 {
+			continue
+		}
+		base := set * s.ways
+		for i := base; i < base+s.ways; i++ {
+			if s.srcs[i] != src || !s.vmMatch(i, vm) {
+				continue
+			}
+			newVal, keep := upd(s.entryAt(i))
+			if keep {
+				s.vals[i] = newVal
+			} else {
+				s.vms[i] = -1
+				s.vcnt[set]--
+			}
+			n++
+		}
+	}
+	return n
+}
+
+func refFlush(s *Struct) int {
+	n := 0
+	for set := 0; set < s.sets; set++ {
+		if s.vcnt[set] == 0 {
+			continue
+		}
+		base := set * s.ways
+		for i := base; i < base+s.ways; i++ {
+			if s.vms[i] >= 0 {
+				s.vms[i] = -1
+				n++
+			}
+		}
+		s.vcnt[set] = 0
+	}
+	s.Flushes++
+	s.FlushedEntries += uint64(n)
+	return n
+}
+
+func refFlushVM(s *Struct, vm int) int {
+	n := 0
+	for set := 0; set < s.sets; set++ {
+		if s.vcnt[set] == 0 {
+			continue
+		}
+		base := set * s.ways
+		for i := base; i < base+s.ways; i++ {
+			if s.vmMatch(i, vm) {
+				s.vms[i] = -1
+				s.vcnt[set]--
+				n++
+			}
+		}
+	}
+	s.Flushes++
+	s.FlushedEntries += uint64(n)
+	return n
+}
+
+func refValidCount(s *Struct) int {
+	n := 0
+	for set := 0; set < s.sets; set++ {
+		n += int(s.vcnt[set])
+	}
+	return n
+}
+
+// diffQueries are the co-tag compares the differential test issues: every
+// CoTagMask width at line (shift 3) and exact-PTE (shift 0) granularity,
+// plus compares that do not pin line bits 0-5 and so must fall back to an
+// all-ones signature query.
+var diffQueries = []struct {
+	shift uint
+	mask  uint64
+}{
+	{3, CoTagMask(0)}, {3, CoTagMask(1)}, {3, CoTagMask(2)}, {3, CoTagMask(3)},
+	{0, CoTagMask(0)}, {0, CoTagMask(1)}, {0, CoTagMask(2)}, {0, CoTagMask(3)},
+	{3, 0xF}, {4, CoTagMask(0)}, {6, CoTagMask(2)}, {1, 0x3F},
+}
+
+// TestSweepsMatchReference drives the production sweeps and the reference
+// oracle with identical random operation sequences over three VMs and
+// asserts identical results, counters and entries after every operation.
+// Source lines are drawn so that they collide in their signature bits and
+// alias under every co-tag width, and keys are drawn densely enough that
+// sets fill and evict. Each shape runs in a sparse regime (frequent
+// flushes: the few-entry shootdown targets the signatures are for) and a
+// dense one (rare flushes: full sets, evictions, stale signature bits).
+func TestSweepsMatchReference(t *testing.T) {
+	shapes := []struct{ entries, ways int }{{64, 4}, {48, 4}, {8, 2}, {512, 8}}
+	for _, shape := range shapes {
+		for seed := uint64(1); seed <= 3; seed++ {
+			diffRun(t, shape.entries, shape.ways, seed, 3000, 100)
+			if ev := diffRun(t, shape.entries, shape.ways, seed, 6000, 1); ev == 0 {
+				t.Fatalf("%d-entry %d-way seed %d: dense run never evicted", shape.entries, shape.ways, seed)
+			}
+		}
+	}
+}
+
+// diffRun runs ops random operations against a fresh production and
+// reference structure, flushing with probability flushPermille/1000 per
+// operation, and returns the evictions seen.
+func diffRun(t *testing.T, entries, ways int, seed uint64, ops, flushPermille int) uint64 {
+	t.Helper()
+	rng := xrand.New(seed)
+	got := New("prod", entries, ways)
+	ref := New("ref", entries, ways)
+	keySpace := uint64(entries * 2)
+	src := func() uint64 {
+		line := rng.Uint64n(24)
+		switch rng.Intn(4) {
+		case 0: // aliases line under a 1-byte co-tag
+			line += 256 * (1 + rng.Uint64n(3))
+		case 1: // aliases line under a 2-byte co-tag
+			line += 16384 * (1 + rng.Uint64n(3))
+		}
+		return line<<3 | rng.Uint64n(8)
+	}
+	vmOf := func(anyOK bool) int {
+		if anyOK && rng.Intn(5) == 0 {
+			return AnyVM
+		}
+		return rng.Intn(3)
+	}
+	var gotVisits, refVisits []Entry
+	upd := func(visits *[]Entry) func(Entry) (uint64, bool) {
+		return func(e Entry) (uint64, bool) {
+			*visits = append(*visits, e)
+			return e.Val + 1, e.Key%3 != 0
+		}
+	}
+	for op := 0; op < ops; op++ {
+		var what string
+		k := rng.Intn(20)
+		if rng.Intn(1000) < flushPermille {
+			k = 20 + rng.Intn(4)
+		}
+		switch {
+		case k < 10:
+			vm, key, val, s, kind := vmOf(false), rng.Uint64n(keySpace), rng.Uint64(), src(), uint8(rng.Intn(3))
+			what = "Fill"
+			gv, ge := got.Fill(vm, key, val, s, kind)
+			rv, re := ref.Fill(vm, key, val, s, kind)
+			if gv != rv || ge != re {
+				t.Fatalf("seed %d op %d Fill: got %+v %v, ref %+v %v", seed, op, gv, ge, rv, re)
+			}
+		case k < 12:
+			vm, key := vmOf(true), rng.Uint64n(keySpace)
+			what = "InvalidateKey"
+			if g, r := got.InvalidateKey(vm, key), refInvalidateKey(ref, vm, key); g != r {
+				t.Fatalf("seed %d op %d InvalidateKey: got %v, ref %v", seed, op, g, r)
+			}
+		case k < 16:
+			vm, s, q := vmOf(true), src(), diffQueries[rng.Intn(len(diffQueries))]
+			spare := rng.Intn(3) == 0
+			except := src()
+			var g int
+			if spare {
+				what = "InvalidateMaskedExcept"
+				g = got.InvalidateMaskedExcept(vm, s, q.shift, q.mask, except)
+			} else {
+				what = "InvalidateMasked"
+				g = got.InvalidateMasked(vm, s, q.shift, q.mask)
+			}
+			if r := refInvalidateMasked(ref, vm, s, q.shift, q.mask, spare, except); g != r {
+				t.Fatalf("seed %d op %d %s(vm %d, src %#x, %+v): got %d, ref %d", seed, op, what, vm, s, q, g, r)
+			}
+		case k < 18:
+			vm, s, q := vmOf(true), src(), diffQueries[rng.Intn(len(diffQueries))]
+			what = "CachesMasked"
+			if g, r := got.CachesMasked(vm, s, q.shift, q.mask), refCachesMasked(ref, vm, s, q.shift, q.mask); g != r {
+				t.Fatalf("seed %d op %d CachesMasked: got %v, ref %v", seed, op, g, r)
+			}
+		case k < 20:
+			vm, s := vmOf(true), src()
+			what = "UpdateMatching"
+			gotVisits, refVisits = gotVisits[:0], refVisits[:0]
+			g := got.UpdateMatching(vm, s, upd(&gotVisits))
+			r := refUpdateMatching(ref, vm, s, upd(&refVisits))
+			if g != r || !slices.Equal(gotVisits, refVisits) {
+				t.Fatalf("seed %d op %d UpdateMatching: got %d %v, ref %d %v", seed, op, g, gotVisits, r, refVisits)
+			}
+		case k < 23:
+			vm := vmOf(true)
+			what = "FlushVM"
+			if g, r := got.FlushVM(vm), refFlushVM(ref, vm); g != r {
+				t.Fatalf("seed %d op %d FlushVM(%d): got %d, ref %d", seed, op, vm, g, r)
+			}
+		default:
+			what = "Flush"
+			if g, r := got.Flush(), refFlush(ref); g != r {
+				t.Fatalf("seed %d op %d Flush: got %d, ref %d", seed, op, g, r)
+			}
+		}
+		if got.CoTagCompares != ref.CoTagCompares || got.CoTagInvalidations != ref.CoTagInvalidations ||
+			got.Flushes != ref.Flushes || got.FlushedEntries != ref.FlushedEntries ||
+			got.Fills != ref.Fills || got.Evictions != ref.Evictions {
+			t.Fatalf("%d-entry %d-way seed %d op %d (%s): counters diverged:\n got %+v\n ref %+v",
+				entries, ways, seed, op, what, statsOf(got), statsOf(ref))
+		}
+		if got.ValidCount() != refValidCount(ref) {
+			t.Fatalf("seed %d op %d (%s): ValidCount %d, ref %d", seed, op, what, got.ValidCount(), refValidCount(ref))
+		}
+		for i := range got.vms {
+			if got.entryAt(i) != ref.entryAt(i) {
+				t.Fatalf("seed %d op %d (%s): entry %d got %+v, ref %+v", seed, op, what, i, got.entryAt(i), ref.entryAt(i))
+			}
+		}
+		checkInvariants(t, got)
+	}
+	return got.Evictions
+}
+
+func statsOf(s *Struct) [6]uint64 {
+	return [6]uint64{s.CoTagCompares, s.CoTagInvalidations, s.Flushes, s.FlushedEntries, s.Fills, s.Evictions}
 }
