@@ -62,7 +62,7 @@
 // guaranteed to be bit-identical in behavior to the map-and-scan
 // implementations they replaced — eviction order, LRU victims, and
 // tie-breaks included — so identical seeds keep producing identical
-// Result counters; internal/sim's golden-counter fingerprints and
+// Result counters; internal/sim's golden-counter files and
 // steady-state zero-allocation test enforce both properties in CI.
 //
 // See README.md for a package tour and how to run the examples,

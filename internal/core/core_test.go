@@ -98,20 +98,28 @@ func fillAll(m *fakeMachine, cpu int, src uint64) {
 	m.ts[cpu].MMU.Fill(vm, 3, 3, src, uint8(cache.KindNestedPT))
 }
 
+// mustNew builds the named protocol with 2-byte co-tags.
+func mustNew(t *testing.T, name string, m Machine) Protocol {
+	t.Helper()
+	p, err := New(name, m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestNewByName(t *testing.T) {
 	m := newFakeMachine(2)
 	for _, name := range []string{"sw", "hatric", "unitd", "ideal"} {
-		p := New(name, m, 2)
-		if p.Name() != name {
+		if p := mustNew(t, name, m); p.Name() != name {
 			t.Errorf("New(%q).Name() = %q", name, p.Name())
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown protocol should panic")
+	for _, name := range []string{"bogus", ""} {
+		if p, err := New(name, m, 2); err == nil || p != nil {
+			t.Errorf("New(%q) = %v, %v; want nil and an error", name, p, err)
 		}
-	}()
-	New("bogus", m, 2)
+	}
 }
 
 func TestHooks(t *testing.T) {

@@ -64,7 +64,7 @@ func TestHATRICAckReissue(t *testing.T) {
 		m := newFakeMachine(2)
 		m.inj = faults.NewInjector(faults.Config{AckLossRate: 1, AckTimeoutCycles: ackTO}, 1)
 		fillAll(m, 1, 0x100)
-		p := New(variant, m, 2)
+		p := mustNew(t, variant, m)
 		hook, _ := p.Hook()
 		hook.OnPTInvalidation(1, arch.SPA(1<<3), cache.KindNestedPT)
 		c := m.cnt[1]

@@ -85,7 +85,7 @@ func TestPFInvalidatesOnUnmap(t *testing.T) {
 
 func TestPFName(t *testing.T) {
 	m := newFakeMachine(1)
-	if New("hatric-pf", m, 2).Name() != "hatric-pf" {
+	if mustNew(t, "hatric-pf", m).Name() != "hatric-pf" {
 		t.Errorf("registry name wrong")
 	}
 }

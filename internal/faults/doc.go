@@ -6,8 +6,8 @@
 //
 // # Why the injector is a pure function of seeds
 //
-// The whole simulator's value rests on replayability: golden
-// fingerprints and the experiment harness's cross-run comparisons both
+// The whole simulator's value rests on replayability: the golden
+// files and the experiment harness's cross-run comparisons both
 // assume a configuration plus a seed fully determines every observable
 // output. Randomness drawn from a clock or a shared RNG stream would
 // break both at once — a fault decision would depend on wall time,
@@ -31,6 +31,6 @@
 //
 // A nil *Injector (the result of an all-zero Config) injects nothing and
 // costs one nil check per site: with fault injection disabled the
-// simulator is provably inert — bit-identical fingerprints, zero
+// simulator is provably inert — bit-identical golden files, zero
 // allocations, no extra cycles.
 package faults

@@ -51,17 +51,6 @@ func (h *Hypervisor) EnableCompaction(cfg CompactionConfig) error {
 	return nil
 }
 
-// CompactionEnabled reports whether the compaction daemon is on.
-func (h *Hypervisor) CompactionEnabled() bool { return h.compact != nil }
-
-// CompactionEvery exposes the configured period (0 when disabled).
-func (h *Hypervisor) CompactionEvery() uint64 {
-	if h.compact == nil {
-		return 0
-	}
-	return h.compact.cfg.Every
-}
-
 // CompactionMoves returns the total pages the daemon has relocated.
 func (h *Hypervisor) CompactionMoves() uint64 {
 	if h.compact == nil {

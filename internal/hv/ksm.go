@@ -14,7 +14,7 @@ import (
 // breaks sharing when a guest writes a shared page (one remap plus a frame
 // allocation per break). Page contents are modeled as deterministic
 // content classes assigned once from the seeded stream, so every merge and
-// break is a pure function of the run's seed — the golden-fingerprint and
+// break is a pure function of the run's seed — the golden-file and
 // determinism machinery extends to dedup runs unchanged.
 type KSMConfig struct {
 	// ScanEvery triggers one scan step per this many memory references on
@@ -175,14 +175,6 @@ func (h *Hypervisor) EnableKSM(cfg KSMConfig) error {
 
 // KSMEnabled reports whether the dedup scanner is on.
 func (h *Hypervisor) KSMEnabled() bool { return h.ksm != nil }
-
-// KSMScanEvery exposes the configured scan period (0 when disabled).
-func (h *Hypervisor) KSMScanEvery() uint64 {
-	if h.ksm == nil {
-		return 0
-	}
-	return h.ksm.cfg.ScanEvery
-}
 
 // KSMReport returns the scanner's activity summary.
 func (h *Hypervisor) KSMReport() KSMReport {

@@ -6,22 +6,22 @@ import (
 	"strings"
 )
 
-// CounterFlow guards the counter plumbing the golden fingerprints are
+// CounterFlow guards the counter plumbing the golden files are
 // built from. A "counters struct" is a struct type named Counters whose
 // declaring package is named stats. The analyzer checks:
 //
 //  1. Every Counters field is uint64 and non-embedded: the reflective
-//     subtractor and the fingerprint formatter walk the struct assuming
+//     subtractor and the golden renderer walk the struct assuming
 //     exactly that shape.
 //  2. (*Counters).Add and (*Counters).Sub reference every field on both
 //     the receiver and the argument, so a newly added counter can never
 //     silently drop out of aggregation or per-VM attribution. A body
 //     that walks the struct with package reflect counts as full
 //     coverage.
-//  3. Every function annotated //hatric:counters-sink (the fingerprint
-//     and table formatters) either references every Counters field or
-//     walks the struct reflectively, so a new counter cannot vanish
-//     from the output paths that the golden tests fingerprint.
+//  3. Every function annotated //hatric:counters-sink (the golden
+//     renderer and table formatters) either references every Counters
+//     field or walks the struct reflectively, so a new counter cannot
+//     vanish from the output paths that the golden tests pin.
 var CounterFlow = &Analyzer{
 	Name: "counterflow",
 	Doc:  "require every stats.Counters field to flow through Add, Sub, and the annotated output sinks",
@@ -70,7 +70,7 @@ func checkCountersDecl(pass *Pass) {
 		f := st.Field(i)
 		if b, ok := f.Type().Underlying().(*types.Basic); f.Embedded() || !ok || b.Kind() != types.Uint64 {
 			pass.Reportf(f.Pos(), "Counters field %s is %s; every field must be a named uint64 so the "+
-				"reflective Sub and the fingerprint formatter stay exhaustive", f.Name(), typeStr(f.Type()))
+				"reflective Sub and the golden renderer stay exhaustive", f.Name(), typeStr(f.Type()))
 		}
 	}
 	for _, method := range []string{"Add", "Sub"} {
@@ -174,7 +174,7 @@ func checkFullCoverage(pass *Pass, fd *ast.FuncDecl, obj *types.TypeName, st *ty
 	}
 	if len(missing) > 0 {
 		pass.Reportf(fd.Pos(), "%s of Counters: %s never references %s; a new counter must not "+
-			"silently drop out of aggregation or fingerprint output",
+			"silently drop out of aggregation or golden output",
 			contract, fd.Name.Name, strings.Join(missing, ", "))
 	}
 }

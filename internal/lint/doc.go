@@ -1,12 +1,12 @@
 // Package lint implements hatriclint, a static-analysis suite that
 // enforces the simulator's determinism and zero-allocation contracts at
 // the line that would break them, instead of leaving violations to be
-// discovered as opaque golden-fingerprint mismatches many PRs later.
+// discovered as golden-file mismatches many PRs later.
 //
 // # The determinism contract
 //
 // The paper's evaluation rests on cycle-exact, bit-identical simulation:
-// the golden fingerprints in internal/sim/golden_test.go assert that the
+// the golden files in internal/sim/testdata/golden assert that the
 // same Options produce the same counters bit for bit, run after run,
 // machine after machine. Three properties of the code make that true, and
 // each has a dedicated analyzer:
@@ -36,11 +36,11 @@
 //     `//hatric:alloc-ok <reason>`.
 //
 // A fourth analyzer, counterflow, guards the counter plumbing the
-// fingerprints are built from: every field of stats.Counters must be
+// golden files are built from: every field of stats.Counters must be
 // uint64, must be aggregated by (*Counters).Add and subtracted by
 // (*Counters).Sub (reflective bodies count as full coverage), and every
-// function annotated `//hatric:counters-sink` — the fingerprint and table
-// formatters — must either reference every field or walk the struct
+// function annotated `//hatric:counters-sink` — the golden renderer and
+// table formatters — must either reference every field or walk the struct
 // reflectively, so a new counter can never silently vanish from
 // aggregation or output.
 //

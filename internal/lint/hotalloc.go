@@ -26,7 +26,7 @@ import (
 // analysis is intentionally conservative: a flagged construct may be
 // optimized away by escape analysis, but the annotation then documents
 // why the line is safe, which is exactly the reviewable contract the
-// golden fingerprints need. Propagation is intra-package and static only
+// golden files need. Propagation is intra-package and static only
 // — cross-package callees on the hot path carry their own annotations,
 // and calls through interfaces or function values are not followed.
 var HotAlloc = &Analyzer{

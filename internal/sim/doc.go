@@ -31,8 +31,8 @@
 // so their event counters (KSMMerges, KSMBreaks, BalloonReclaims,
 // CompactionMoves) land in Result.Agg beside the shootdown costs they
 // cause, Result.KSM snapshots the end-of-run sharing state, and
-// Result.Balloons reports each burst. The golden fingerprints in
-// golden_test.go pin dedup/balloon/compact scenarios per protocol, and
+// Result.Balloons reports each burst. The golden files pin
+// dedup/balloon/compact scenarios per protocol, and
 // TestSteadyStateZeroAllocsStorms extends the zero-allocation gate over
 // the scan and compaction paths.
 //
@@ -57,9 +57,32 @@
 //
 // The slab size (refBatch) is thus a pure host-throughput knob: it
 // amortizes the generator call and keeps the sampled stream hot in host
-// cache, but is invisible in simulated results. The golden-counter
-// fingerprints in golden_test.go — including slab-boundary cases where a
-// run ends mid-slab or exactly on a slab edge — pin this property, and
-// TestSteadyStateZeroAllocs asserts the slabs are reused, never
-// reallocated, in steady state.
+// cache, but is invisible in simulated results. The golden files —
+// including slab-boundary cases where a run ends mid-slab or exactly on
+// a slab edge — pin this property, and TestSteadyStateZeroAllocs asserts
+// the slabs are reused, never reallocated, in steady state.
+//
+// # Golden files
+//
+// TestGoldenCounters (golden_test.go) runs every golden scenario under
+// sw, hatric, unitd and ideal with Options.CheckStale on, requires zero
+// stale translation uses, and compares the result with
+// testdata/golden/<scenario>-<protocol>.txt. A file holds one
+// path=value line per nonzero leaf of the result: runtime, the
+// aggregate, per-CPU and per-VM counters with their finish cycles,
+// device bytes, and the migration, QoS, balloon and KSM reports. An
+// absent line means 0, so adding a counter anywhere in stats.Counters
+// changes no file until the counter becomes nonzero. A mismatch reports
+// "scenario/protocol: path got X want Y" for each differing line, and a
+// missing or orphaned file fails the test. After an intended modeling
+// change, rewrite the files with
+//
+//	GOLDEN_UPDATE=1 go test -run TestGoldenCounters ./internal/sim
+//
+// and review their diff in the commit.
+//
+// TestGoldenCountersParallel runs the same scenarios as concurrent
+// subtests against the same files: exp.Runner.Parallel runs cells on
+// concurrent goroutines, which is sound only if every System is
+// self-contained.
 package sim

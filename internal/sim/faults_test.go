@@ -55,16 +55,15 @@ func runFaultOpts(t *testing.T, opts Options) *Result {
 
 // TestFaultDeterminism is the injector's core property: a fault-injected
 // run is a pure function of its seeds. Every protocol, at several seeds,
-// must fingerprint bit-identically when rerun (and the whole test reruns
+// must render bit-identically when rerun (and the whole test reruns
 // under -count=2 in CI, which also pins cross-process determinism).
 func TestFaultDeterminism(t *testing.T) {
 	for _, p := range []string{"sw", "hatric", "hatric-pf", "unitd", "ideal"} {
 		for _, seed := range []uint64{1, 7, 23} {
 			a := runFaultOpts(t, faultOpts(p, seed))
 			b := runFaultOpts(t, faultOpts(p, seed))
-			fa, fb := goldenFingerprint(a), goldenFingerprint(b)
-			if fa != fb {
-				t.Errorf("%s/seed=%d: rerun diverged: %#016x vs %#016x", p, seed, fa, fb)
+			for _, d := range goldenDiff(goldenText(b), goldenText(a)) {
+				t.Errorf("%s/seed=%d: rerun diverged: %s", p, seed, d)
 			}
 			// The run must actually have exercised the injector, or the
 			// property is vacuous.
@@ -90,7 +89,7 @@ func TestFaultDeterminism(t *testing.T) {
 
 // TestFaultDeterminismParallel runs fault-injected scenarios on concurrent
 // goroutines, as exp.Runner.Parallel runs sweep cells, and requires each
-// to fingerprint exactly as its sequential run. The injector's per-site
+// to render exactly as its sequential run. The injector's per-site
 // streams belong to one System, so concurrent runs must not perturb each
 // other's fault decisions.
 func TestFaultDeterminismParallel(t *testing.T) {
@@ -104,15 +103,15 @@ func TestFaultDeterminismParallel(t *testing.T) {
 			jobs = append(jobs, job{p, seed})
 		}
 	}
-	want := make([]uint64, len(jobs))
+	want := make([]string, len(jobs))
 	for i, j := range jobs {
 		res := runFaultOpts(t, faultOpts(j.protocol, j.seed))
 		if j.protocol == "sw" && res.Agg.IPIsLost == 0 {
 			t.Errorf("%s/seed=%d: IPI fault site never fired", j.protocol, j.seed)
 		}
-		want[i] = goldenFingerprint(res)
+		want[i] = goldenText(res)
 	}
-	got := make([]uint64, len(jobs))
+	got := make([]string, len(jobs))
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
 	for i, j := range jobs {
@@ -129,23 +128,25 @@ func TestFaultDeterminismParallel(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			got[i] = goldenFingerprint(res)
+			got[i] = goldenText(res)
 		}()
 	}
 	wg.Wait()
 	for i, j := range jobs {
 		if errs[i] != nil {
 			t.Errorf("%s/seed=%d: concurrent run: %v", j.protocol, j.seed, errs[i])
-		} else if got[i] != want[i] {
-			t.Errorf("%s/seed=%d: concurrent run diverged from sequential: %#016x vs %#016x",
-				j.protocol, j.seed, got[i], want[i])
+		} else {
+			for _, d := range goldenDiff(got[i], want[i]) {
+				t.Errorf("%s/seed=%d: concurrent run diverged from sequential: %s",
+					j.protocol, j.seed, d)
+			}
 		}
 	}
 }
 
 // TestFaultKnobsInert pins the provably-inert contract from the other
 // side: an explicitly zeroed faults.Config must construct no injector at
-// all, so a run with it fingerprints identically to a run that never
+// all, so a run with it renders identically to a run that never
 // mentioned faults.
 func TestFaultKnobsInert(t *testing.T) {
 	mk := func() Options {
@@ -156,8 +157,8 @@ func TestFaultKnobsInert(t *testing.T) {
 	zeroed := mk()
 	zeroed.Faults = faults.Config{IPITimeoutCycles: 99, AckTimeoutCycles: 99, MaxRetries: 3}
 	withZero := runFaultOpts(t, zeroed)
-	if fa, fb := goldenFingerprint(plain), goldenFingerprint(withZero); fa != fb {
-		t.Errorf("zero-rate faults.Config changed the run: %#016x vs %#016x", fa, fb)
+	for _, d := range goldenDiff(goldenText(withZero), goldenText(plain)) {
+		t.Errorf("zero-rate faults.Config changed the run: %s", d)
 	}
 	if withZero.Agg.IPIsLost != 0 || withZero.Agg.ShootdownRetries != 0 {
 		t.Errorf("zero-rate config fired fault sites")

@@ -214,6 +214,10 @@ func validateVMSpecs(vmSpecs []VMSpec, cfg *arch.Config, ratio int, defaultMode 
 				return fmt.Errorf("sim: process %s of VM %d has no CPUs", w.Spec.Name, v)
 			}
 			who := fmt.Sprintf("process %q of VM %d", w.Spec.Name, v)
+			if w.Spec.FootprintPages <= 0 {
+				return fmt.Errorf("sim: %s has FootprintPages %d; it must be positive",
+					who, w.Spec.FootprintPages)
+			}
 			for _, c := range w.CPUs {
 				if c < 0 || c >= numSlots {
 					return fmt.Errorf("sim: %s pins slot %d outside [0, %d) (%d CPUs x %d vCPUs/CPU)",
@@ -246,6 +250,10 @@ func validateVMSpecs(vmSpecs []VMSpec, cfg *arch.Config, ratio int, defaultMode 
 		mode := defaultMode
 		if spec.Mode != nil {
 			mode = *spec.Mode
+		}
+		if mode == hv.ModePaged && cfg.Mem.HBMFrames == 0 {
+			return fmt.Errorf("sim: VM %d pages into die-stacked memory but Config.Mem.HBMFrames is 0; "+
+				"give the tier frames or place the VM with ModeNoHBM", v)
 		}
 		if mode == hv.ModeInfHBM {
 			pinnedTotal += FootprintPages(spec.Workloads)
@@ -465,7 +473,11 @@ func New(opts Options) (*System, error) {
 	}
 
 	// Protocol, then its relay hook into the hierarchy.
-	s.proto = core.New(opts.Protocol, s, cfg.TLB.CoTagBytes)
+	proto, err := core.New(opts.Protocol, s, cfg.TLB.CoTagBytes)
+	if err != nil {
+		return nil, err
+	}
+	s.proto = proto
 	hook, relay := s.proto.Hook()
 	s.hier.SetTranslationHook(hook, relay)
 
@@ -784,21 +796,11 @@ func (s *System) FaultInjector() *faults.Injector { return s.faults }
 
 // --- accessors used by tests and the experiment harness ---
 
-// VM returns the first virtual machine (the whole machine in single-VM
-// runs).
-func (s *System) VM() *hv.VM { return s.vms[0] }
-
 // VMs returns every virtual machine on the simulated server.
 func (s *System) VMs() []*hv.VM { return s.vms }
 
-// Hypervisor returns the paging engine.
-func (s *System) Hypervisor() *hv.Hypervisor { return s.hyp }
-
 // Hierarchy returns the cache hierarchy.
 func (s *System) Hierarchy() *coherence.Hierarchy { return s.hier }
-
-// Protocol returns the translation-coherence protocol.
-func (s *System) Protocol() core.Protocol { return s.proto }
 
 // Clock returns cpu's current cycle count.
 func (s *System) Clock(cpu int) arch.Cycles { return s.clock[cpu] }

@@ -177,6 +177,10 @@ func TestVMCPUsImprecision(t *testing.T) {
 
 func TestBadOptionsRejected(t *testing.T) {
 	cfg := smokeConfig()
+	noPages := smokeSpec()
+	noPages.FootprintPages = 0
+	noHBM := cfg
+	noHBM.Mem.HBMFrames = 0
 	cases := []Options{
 		{Config: cfg, Protocol: "hatric"}, // no workloads
 		{Config: cfg, Protocol: "hatric", Workloads: []AssignedWorkload{
@@ -184,6 +188,11 @@ func TestBadOptionsRejected(t *testing.T) {
 		{Config: cfg, Protocol: "hatric", Workloads: []AssignedWorkload{
 			{Spec: smokeSpec(), CPUs: []int{0}},
 			{Spec: smokeSpec(), CPUs: []int{0}}}}, // CPU double-booked
+		{Config: cfg, Protocol: "bogus", Workloads: SingleWorkload(smokeSpec(), 1)}, // unknown protocol
+		{Config: cfg, Workloads: SingleWorkload(smokeSpec(), 1)},                    // no protocol
+		{Config: cfg, Protocol: "hatric", Workloads: SingleWorkload(noPages, 1)},    // empty footprint
+		{Config: noHBM, Protocol: "hatric", Mode: hv.ModePaged,
+			Workloads: SingleWorkload(smokeSpec(), 1)}, // paging into a tier with no frames
 	}
 	for i, opts := range cases {
 		if _, err := New(opts); err == nil {

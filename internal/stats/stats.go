@@ -135,17 +135,14 @@ type Counters struct {
 	// each, charged to the writing CPU). BalloonReclaims counts frames a
 	// balloon inflation reclaimed through the quota-aware eviction path
 	// (driver vCPU). CompactionMoves counts live die-stacked pages the
-	// compaction daemon relocated (triggering CPU). New fields stay at the
-	// end of the struct: the golden-fingerprint formatter relies on the
-	// legacy field order staying a stable prefix.
+	// compaction daemon relocated (triggering CPU).
 	KSMMerges       uint64
 	KSMBreaks       uint64
 	BalloonReclaims uint64
 	CompactionMoves uint64
 
-	// Fault injection and recovery (internal/faults; all six stay zero —
-	// and the fingerprints frozen — unless sim.Options.Faults enables a
-	// fault site). IPIsLost counts shootdown IPIs lost in delivery and
+	// Fault injection and recovery (internal/faults; all six stay zero
+	// unless sim.Options.Faults enables a fault site). IPIsLost counts shootdown IPIs lost in delivery and
 	// ShootdownRetries the timeout-triggered re-sends (both on the
 	// initiator). AcksLost counts invalidation-relay acknowledgments lost
 	// and RelayReissues the directory's reissues after AckTimeoutCycles
